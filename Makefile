@@ -5,7 +5,7 @@ GO ?= go
 # must not clobber each other's binaries or bench transcripts.
 BIN := $(CURDIR)/bin
 
-.PHONY: build test verify check bench bench-obs bench-parallel bench-hot bench-guard bench-dense bench-shard bench-service fuzz fuzz-nightly lint trace
+.PHONY: build test verify check bench bench-obs bench-parallel bench-hot bench-guard bench-dense bench-service fuzz fuzz-nightly lint trace
 
 build:
 	$(GO) build ./...
@@ -22,8 +22,9 @@ verify:
 
 # check arms the runtime invariant checker everywhere: the full test
 # suite with checks forced on (build tag `checkall`), then the four
-# headline configurations and the fault-degradation grid through the CLI
-# gates. Any recorded violation is a non-zero exit.
+# headline configurations, the 240-vehicle 802.11 dense highway and the
+# fault-degradation grid through the CLI gates. Any recorded violation is
+# a non-zero exit.
 check:
 	$(GO) test -tags=checkall ./...
 	$(GO) build -o $(BIN)/vanetsim-check ./cmd/vanetsim
@@ -31,6 +32,7 @@ check:
 	$(BIN)/vanetsim-check -check -trial 2 > /dev/null
 	$(BIN)/vanetsim-check -check -trial 3 > /dev/null
 	$(BIN)/vanetsim-check -check -trial 0 -mac 802.11 -packet 500 > /dev/null
+	$(BIN)/vanetsim-check -check -dense 240 -mac 802.11 -duration 8 > /dev/null
 	$(GO) build -o $(BIN)/eblreport-check ./cmd/eblreport
 	$(BIN)/eblreport-check -check -degrade > /dev/null
 
@@ -66,29 +68,17 @@ bench-guard:
 	$(MAKE) --no-print-directory bench-hot | tee $(BIN)/bench-hot.txt
 	$(BIN)/benchguard -baseline BENCH_PR3.json -input $(BIN)/bench-hot.txt
 
-# bench-dense is the broadcast-scaling gate: per-transmission PHY cost
-# over a dense highway line, spatial-index culling against the all-radios
-# scan (plus the index under continuous mobility refresh), judged against
-# BENCH_DENSE.json. The culled path must stay allocation-free, ~flat in
-# the fleet size, and >=5x under the scan at n=1000.
+# bench-dense is the dense-highway gate: per-transmission PHY cost over
+# a dense highway line, spatial-index culling against the all-radios scan
+# (plus the index under continuous mobility refresh), and the 240-vehicle
+# scenario end to end under GOMAXPROCS=1, judged against BENCH_DENSE.json.
+# The culled path must stay allocation-free, ~flat in the fleet size, and
+# >=5x under the scan at n=1000.
 bench-dense:
 	$(GO) build -o $(BIN)/benchguard ./cmd/benchguard
 	$(GO) test -bench='BenchmarkBroadcast(Scan|Culled|CulledMoving)' -benchmem -benchtime=1s -run='^$$' ./internal/phy | tee $(BIN)/bench-dense.txt
+	GOMAXPROCS=1 $(GO) test -bench='BenchmarkDenseHighway240$$' -benchmem -benchtime=2x -run='^$$' . | tee -a $(BIN)/bench-dense.txt
 	$(BIN)/benchguard -baseline BENCH_DENSE.json -input $(BIN)/bench-dense.txt
-
-# bench-shard is the staged-offer-pipeline gate: the sharded broadcast
-# path and the dense scenario at -shards 4, judged against
-# BENCH_SHARD.json. GOMAXPROCS=1 pins the pipeline's inline (no-worker)
-# compute path, so timings measure the staging overhead itself and stay
-# comparable across hosts; the sharded path must stay allocation-free
-# per transmission and within tolerance of the serial loop. Output
-# equality across shard counts is a test, not a benchmark — see
-# TestDenseHighwayShardInvariance.
-bench-shard:
-	$(GO) build -o $(BIN)/benchguard ./cmd/benchguard
-	GOMAXPROCS=1 $(GO) test -bench='BenchmarkBroadcastSharded' -benchmem -benchtime=1s -run='^$$' ./internal/phy | tee $(BIN)/bench-shard.txt
-	GOMAXPROCS=1 $(GO) test -bench='BenchmarkDenseShards' -benchmem -benchtime=2x -run='^$$' . | tee -a $(BIN)/bench-shard.txt
-	$(BIN)/benchguard -baseline BENCH_SHARD.json -input $(BIN)/bench-shard.txt
 
 # bench-service is the vanetsimd service gate: the canonical-hash cache
 # key (pinned allocation-free — every request pays it before the cache

@@ -66,7 +66,6 @@ func run(args []string, out io.Writer) (err error) {
 		platoon  = fs.Int("platoon-len", 10, "vehicles per platoon for -dense")
 		beaconFr = fs.Float64("beacon-frac", 0.25, "fraction of vehicles sourcing beacon traffic for -dense")
 		beaconJt = fs.Float64("beacon-jitter", 0, "per-vehicle beacon-interval jitter fraction in [0,1) for -dense (0 = lockstep intervals)")
-		shards   = fs.Int("shards", 1, "intra-run shard count for the staged offer pipeline (output is byte-identical at any value)")
 		safDepth = fs.Int("safety-depth", 0, "followers per platoon on the lead's safety stream for -dense (0 = all)")
 		noCull   = fs.Bool("no-culling", false, "disable spatial-index neighbor culling (full receiver scan) for -dense")
 		loss     = fs.Float64("loss", 0, "independent per-frame loss probability")
@@ -106,7 +105,6 @@ func run(args []string, out io.Writer) (err error) {
 		dcfg.BeaconJitter = *beaconJt
 		dcfg.SafetyDepth = *safDepth
 		dcfg.DisableCulling = *noCull
-		dcfg.Shards = *shards
 		dcfg.Telemetry = *stats || *statsJSN != "" || *statsPrm != ""
 		dcfg.Check = *checkInv
 		if *duration > 0 {
@@ -147,7 +145,6 @@ func run(args []string, out io.Writer) (err error) {
 	if *seed != 0 {
 		cfg.Seed = *seed
 	}
-	cfg.Shards = *shards
 	cfg.CollectTrace = *traceOut != ""
 	cfg.Telemetry = *stats || *statsJSN != "" || *statsPrm != ""
 	cfg.Check = *checkInv

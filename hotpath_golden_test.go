@@ -43,11 +43,9 @@ func sha(b []byte) string {
 	return hex.EncodeToString(h[:])
 }
 
-// filteredNDJSON renders the telemetry snapshot with the host-execution
-// gauges removed: the host-clock pair (run/wall_*) is legitimately
-// non-deterministic, and the shard-pipeline profile (sched/shard_*)
-// necessarily varies with the configured shard count. Simulation
-// behaviour never reads either.
+// filteredNDJSON renders the telemetry snapshot with the host-clock
+// gauges (run/wall_*) removed: they are legitimately non-deterministic,
+// and simulation behaviour never reads them.
 func filteredNDJSON(t *testing.T, snap *vanetsim.Telemetry) []byte {
 	t.Helper()
 	var raw bytes.Buffer
@@ -58,8 +56,7 @@ func filteredNDJSON(t *testing.T, snap *vanetsim.Telemetry) []byte {
 	sc := bufio.NewScanner(&raw)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
-		if strings.Contains(sc.Text(), `"run/wall`) ||
-			strings.Contains(sc.Text(), `"sched/shard_`) {
+		if strings.Contains(sc.Text(), `"run/wall`) {
 			continue
 		}
 		out.Write(sc.Bytes())

@@ -89,18 +89,6 @@ func (g *Grid) Remove(id int32) {
 	g.in[id] = false
 }
 
-// CellKey returns the packed key of the cell currently holding id, and
-// whether id is stored. The key identifies a grid region: two IDs share a
-// key exactly when they occupy the same cell. Its bit layout is otherwise
-// opaque (callers reducing it to a small range should mix it first — the
-// packed fields make raw modulo degenerate).
-func (g *Grid) CellKey(id int32) (uint64, bool) {
-	if int(id) >= len(g.in) || !g.in[id] {
-		return 0, false
-	}
-	return g.key[id], true
-}
-
 // Pos returns id's stored position and whether it is present.
 func (g *Grid) Pos(id int32) (Vec2, bool) {
 	if int(id) >= len(g.in) || !g.in[id] {

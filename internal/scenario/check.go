@@ -61,17 +61,6 @@ func (w *World) AuditInvariants(comms ...*ebl.PlatoonComms) []check.Violation {
 			"channel delivered %d arrivals but only %d were offered", cs.Delivered, cs.Offered)
 	}
 
-	// Staged-offer pipeline conservation, when intra-run sharding ran:
-	// every shard saw every staged broadcast, heard no more than it staged,
-	// and the shards' arrivals are a subset of the channel's offered count.
-	if pipe := w.Channel.PipeStats(); len(pipe) > 0 {
-		counts := make([]check.ShardCounts, len(pipe))
-		for i, s := range pipe {
-			counts[i] = check.ShardCounts{Staged: s.Staged, Heard: s.Heard, Batches: s.Batches}
-		}
-		check.AuditShards(w.check, now, counts, cs.Offered)
-	}
-
 	// Interface-queue conservation per node.
 	for _, lq := range w.chkQueues {
 		lq.q.Audit(w.check, now, fmt.Sprintf("node %v", lq.id))

@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"fmt"
-
 	"vanetsim/internal/ebl"
 	"vanetsim/internal/obs"
 	"vanetsim/internal/sim"
@@ -195,20 +193,6 @@ func (w *World) HarvestTelemetry(comms ...*ebl.PlatoonComms) *obs.Snapshot {
 	}
 	r.Gauge("sched/max_pending", "pending-heap high-water mark").
 		Set(float64(s.MaxPending()))
-
-	// Per-shard offer-pipeline profile, registered only when intra-run
-	// sharding ran. Like run/wall_*, these are host-execution diagnostics:
-	// deterministic for a fixed shard count but necessarily different
-	// across shard counts, so byte-identity comparisons strip sched/shard_*
-	// lines alongside the wall-clock gauges.
-	for i, ps := range w.Channel.PipeStats() {
-		r.Gauge(fmt.Sprintf("sched/shard_%d_staged", i),
-			"offer-pipeline candidates computed by this shard").Set(float64(ps.Staged))
-		r.Gauge(fmt.Sprintf("sched/shard_%d_heard", i),
-			"staged candidates that cleared carrier sense on this shard").Set(float64(ps.Heard))
-		r.Gauge(fmt.Sprintf("sched/shard_%d_batches", i),
-			"staged broadcasts this shard participated in").Set(float64(ps.Batches))
-	}
 
 	r.Gauge("run/sim_seconds", "simulated time covered by the run").
 		Set(float64(s.Now()))

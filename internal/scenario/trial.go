@@ -65,10 +65,6 @@ type TrialConfig struct {
 	// loss, shadowing, scheduled outages). The zero value injects nothing:
 	// an unfaulted run is byte-identical with or without this field.
 	Faults fault.Plan
-	// Shards is the intra-run shard count for the channel's staged offer
-	// pipeline (see StackConfig.Shards). Exact: any value, including 0/1
-	// (serial), produces a byte-identical run.
-	Shards int
 }
 
 // defaultTrial fills the fixed parameters shared by all three trials.
@@ -177,7 +173,6 @@ func RunTrial(cfg TrialConfig) *TrialResult {
 	}
 	stack.Radio.SINRMode = cfg.SINRPhy
 	stack.Faults = cfg.Faults
-	stack.Shards = cfg.Shards
 	if cfg.Telemetry {
 		stack.Obs = obs.NewRegistry()
 	}
@@ -188,7 +183,6 @@ func RunTrial(cfg TrialConfig) *TrialResult {
 		stack.Spans = span.NewRecorder()
 	}
 	w := NewWorld(stack, cfg.Seed)
-	defer w.Close()
 	s := w.Sched
 	wallStart := time.Now()
 

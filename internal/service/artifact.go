@@ -8,10 +8,10 @@
 //
 // The whole design leans on one property the repository has defended
 // since its first PR: a run's output is a pure function of its
-// canonical configuration — byte-identical at any worker count, shard
-// count, or host. That is what makes a cache hit trustworthy: the
-// bytes served from disk are exactly the bytes a fresh run would
-// produce (the golden test in golden_test.go proves it end to end).
+// canonical configuration — byte-identical at any worker count or on
+// any host. That is what makes a cache hit trustworthy: the bytes served
+// from disk are exactly the bytes a fresh run would produce (the golden
+// test in golden_test.go proves it end to end).
 package service
 
 import (
@@ -256,21 +256,13 @@ func writeCheckVerdict(b *strings.Builder, checked bool, violations []vanetsim.C
 	}
 }
 
-// writeTelemetry appends the run's metrics snapshot with the
-// shard-pipeline profile gauges stripped: sched/shard_* depends on the
-// executing host's shard layout, and nothing host-dependent may enter
-// a content-addressed artifact (cache hits must be byte-identical to
-// fresh runs at any -shards).
+// writeTelemetry appends the run's metrics snapshot. Telemetry holds no
+// wall-clock gauges (host cost lives on WallSeconds), so the snapshot is
+// as deterministic as the rest of the artifact.
 func writeTelemetry(b *strings.Builder, snap *vanetsim.Telemetry) {
 	if snap == nil {
 		return
 	}
 	b.WriteString("\nTelemetry:\n")
-	for _, line := range strings.Split(strings.TrimSuffix(snap.FormatText(), "\n"), "\n") {
-		if strings.Contains(line, "sched/shard_") {
-			continue
-		}
-		b.WriteString(line)
-		b.WriteString("\n")
-	}
+	b.WriteString(snap.FormatText())
 }

@@ -3,9 +3,9 @@
 //
 // Every run in this repository is a deterministic pure function of its
 // configuration: the same canonical config always produces the same
-// result bytes, at any worker count and any shard count. The cache key
-// must therefore depend on exactly the semantic configuration and
-// nothing else. Canonicalisation enforces that in three steps:
+// result bytes, at any worker count. The cache key must therefore depend
+// on exactly the semantic configuration and nothing else.
+// Canonicalisation enforces that in three steps:
 //
 //  1. Decode the request JSON into typed structs, so field order in the
 //     wire form is irrelevant.
@@ -15,9 +15,10 @@
 //  3. Encode the fully resolved configuration in a fixed field order
 //     (AppendBinary) and hash that — never the incoming JSON bytes.
 //
-// Execution-only knobs (shard count, spatial-culling toggles) are
-// deliberately excluded from the canonical form: they are proven
-// byte-identical on output, so they must not split the cache.
+// Execution-only knobs (the spatial-culling toggle, trace and span
+// recording, animation sampling) are deliberately excluded from the
+// canonical form: they are proven byte-identical on output, so they must
+// not split the cache.
 //
 // The hash hot path is allocation-free: AppendBinary appends into a
 // caller-reused buffer with strconv appenders, and sha256.Sum256 runs
@@ -433,7 +434,6 @@ func canonTrial(tr TrialRequest) (*Canonical, error) {
 	cfg.Telemetry = tr.Telemetry
 	cfg.Check = tr.Check
 	// Execution-only knobs stay zero: they never change result bytes.
-	cfg.Shards = 0
 	cfg.CollectTrace = false
 	cfg.Spans = false
 	cfg.AnimInterval = 0
@@ -506,10 +506,9 @@ func canonDense(dr DenseRequest) (*Canonical, error) {
 	}
 	cfg.Telemetry = dr.Telemetry
 	cfg.Check = dr.Check
-	// Execution-only knobs stay zero (culling and sharding are proven
-	// byte-identical on output, so they must not split the cache).
+	// Execution-only knobs stay zero (culling is proven byte-identical on
+	// output, so it must not split the cache).
 	cfg.DisableCulling = false
-	cfg.Shards = 0
 	cfg.Spans = false
 
 	frac := cfg.BeaconFraction
@@ -549,7 +548,6 @@ func canonDegradation(gr DegradationRequest) (*Canonical, error) {
 	}
 	base.Telemetry = true // the sweep reads fault counters
 	base.Check = gr.Check
-	base.Shards = 0
 
 	spec := DegradationSpec{Base: base, BurstLen: gr.BurstLen, ShadowDB: gr.ShadowDB}
 	if err := finite("degradation.burst_len", gr.BurstLen); err != nil {

@@ -72,20 +72,6 @@ func TestDistinctConfigsHashDistinctly(t *testing.T) {
 	}
 }
 
-func TestExecutionKnobsExcluded(t *testing.T) {
-	// The canonical form has no shard/culling field at all: grep the
-	// encoding to prove execution knobs cannot split the cache.
-	for _, body := range []string{
-		`{"kind":"trial","trial":{"trial":1}}`,
-		`{"kind":"dense","dense":{"vehicles":240}}`,
-	} {
-		enc := string(mustCanon(t, body).AppendBinary(nil))
-		if strings.Contains(enc, "shard") || strings.Contains(enc, "cull") {
-			t.Fatalf("canonical encoding leaks an execution knob:\n%s", enc)
-		}
-	}
-}
-
 func TestOutageOrderNormalized(t *testing.T) {
 	a := mustCanon(t, `{"kind":"trial","trial":{"trial":1,"faults":{"outages":[{"node":4,"start_s":10,"duration_s":3},{"node":1,"start_s":22,"duration_s":5}]}}}`)
 	b := mustCanon(t, `{"kind":"trial","trial":{"trial":1,"faults":{"outages":[{"node":1,"start_s":22,"duration_s":5},{"node":4,"start_s":10,"duration_s":3}]}}}`)

@@ -88,8 +88,7 @@ func TestGoldenCacheHitMatchesFreshRun(t *testing.T) {
 
 // TestArtifactExcludesHostData greps a checked, telemetry-bearing
 // artifact for the host-dependent fields that must never enter a
-// content-addressed result: wall-clock cost and the shard-layout
-// profile gauges.
+// content-addressed result: wall-clock cost.
 func TestArtifactExcludesHostData(t *testing.T) {
 	req, err := canon.Decode(strings.NewReader(
 		`{"kind":"dense","dense":{"vehicles":48,"duration_s":6,"check":true,"telemetry":true}}`))
@@ -104,10 +103,8 @@ func TestArtifactExcludesHostData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, banned := range []string{"wall", "sched/shard_"} {
-		if strings.Contains(string(data), banned) {
-			t.Errorf("artifact contains host-dependent %q", banned)
-		}
+	if strings.Contains(string(data), "wall") {
+		t.Error("artifact contains host-dependent wall-clock data")
 	}
 	if !strings.Contains(string(data), "invariant check: clean") {
 		t.Errorf("checked artifact missing the checker verdict")

@@ -4,10 +4,10 @@ import "slices"
 
 // Epoch draining: a batch alternative to the Step pop loop for the common
 // discrete-event pattern where many events share one timestamp (TDMA slot
-// boundaries, beacon phases, barrier-aligned shard windows). The serial
-// loop pays a full root-to-leaf siftDown per pop; DrainEpoch instead peels
-// the whole equal-timestamp cohort off the heap in one structural repair
-// and fires it from a flat slice.
+// boundaries, beacon phases). The serial loop pays a full root-to-leaf
+// siftDown per pop; DrainEpoch instead peels the whole equal-timestamp
+// cohort off the heap in one structural repair and fires it from a flat
+// slice.
 //
 // The peel exploits a property of the (at, seq) min-heap: every node whose
 // timestamp equals the minimum has a parent with the same timestamp (the
@@ -49,33 +49,6 @@ const (
 	indexCancelled = -3 // cancelled while batched, must not fire
 	indexMigrating = -4 // mid-flight inside drainTier, reassigned before it returns
 )
-
-// NextAt returns the timestamp of the earliest pending event. ok is false
-// when no events are pending.
-func (s *Scheduler) NextAt() (at Time, ok bool) {
-	if len(s.heap) == 0 {
-		s.prime()
-		if len(s.heap) == 0 {
-			return 0, false
-		}
-	}
-	return s.heap[0].at, true
-}
-
-// AdvanceTo moves the clock forward to t without firing anything, exactly
-// as RunUntil does after its last event. It panics if an event earlier
-// than t is still pending (advancing past it would violate causality) and
-// is a no-op if t is not ahead of the clock.
-func (s *Scheduler) AdvanceTo(t Time) {
-	if (len(s.heap) > 0 && s.heap[0].at < t) ||
-		(len(s.soon) > 0 && s.soon[0].at < t) ||
-		(len(s.far) > 0 && s.far[0].at < t) {
-		panic("sim: AdvanceTo past a pending event")
-	}
-	if t > s.now {
-		s.now = t
-	}
-}
 
 // DrainEpoch fires every pending event scheduled for the earliest pending
 // timestamp — including events that callbacks schedule for that same

@@ -4,8 +4,8 @@ import "testing"
 
 // The epoch benchmarks compare DrainEpoch against the serial Step loop on
 // the two regimes that matter: fat epochs (many events per timestamp —
-// TDMA slot boundaries, phase-aligned beacons, shard windows), where the
-// batch peel is the point, and thin epochs (every timestamp unique — the
+// TDMA slot boundaries, phase-aligned beacons), where the batch peel is
+// the point, and thin epochs (every timestamp unique — the
 // asynchronous 802.11 arrival stream), where DrainEpoch must not regress
 // past its single-node fast path.
 

@@ -232,29 +232,3 @@ func TestRunEpochsMatchesRunUntil(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestNextAtAdvanceTo covers the shard runtime's peek/advance primitives.
-func TestNextAtAdvanceTo(t *testing.T) {
-	s := New()
-	if _, ok := s.NextAt(); ok {
-		t.Fatal("NextAt reported an event on an empty scheduler")
-	}
-	s.Schedule(3, func() {})
-	if at, ok := s.NextAt(); !ok || at != 3 {
-		t.Fatalf("NextAt = %v,%v want 3,true", at, ok)
-	}
-	s.AdvanceTo(2)
-	if s.Now() != 2 {
-		t.Fatalf("clock = %v after AdvanceTo(2)", s.Now())
-	}
-	s.AdvanceTo(1) // not ahead: no-op
-	if s.Now() != 2 {
-		t.Fatalf("AdvanceTo moved the clock backwards to %v", s.Now())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("AdvanceTo past a pending event did not panic")
-		}
-	}()
-	s.AdvanceTo(5)
-}

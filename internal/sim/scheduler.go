@@ -307,18 +307,6 @@ func (s *Scheduler) ScheduleArgKind(kind EventKind, delay Time, fn func(any), ar
 	return s.insert(kind, s.now+delay, nil, fn, arg)
 }
 
-// AtArgKind schedules fn(arg) at absolute simulated time t — the
-// absolute-deadline form of ScheduleArgKind, used by the shard runtime to
-// deliver cross-shard events at their exact computed timestamp (going
-// through a delay would re-derive t as (t-now)+now, which need not round
-// back to the same float).
-func (s *Scheduler) AtArgKind(kind EventKind, t Time, fn func(any), arg any) Timer {
-	if fn == nil {
-		panic("sim: At with nil func")
-	}
-	return s.insert(kind, t, nil, fn, arg)
-}
-
 // At runs fn at absolute simulated time t. It panics if t is in the past.
 func (s *Scheduler) At(t Time, fn func()) Timer {
 	return s.AtKind(KindOther, t, fn)
